@@ -16,7 +16,7 @@
  *  - pipelined OLAT <= sync OLAT (the pipeline reschedules transfers,
  *    it never adds any).
  *
- * A sharded async run through the ShardSlot-based scheduler is also
+ * A sharded async run through the ring scheduler is also
  * driven, asserting every shard's observable stream stays exactly
  * periodic (gap = max(rate + OLAT, occupancy)) under the shrunk slots.
  *
@@ -41,7 +41,7 @@
 #include "oram/oram_device.hh"
 #include "oram/oram_controller.hh"
 #include "oram/sharded_device.hh"
-#include "sim/oram_scheduler.hh"
+#include "sim/shard_worker.hh"
 #include "timing/rate_enforcer.hh"
 
 using namespace tcoram;
@@ -140,7 +140,7 @@ runCell(std::uint64_t blocks_log2, unsigned banks)
 }
 
 /**
- * Drive a 4-shard async array through the ShardSlot-based scheduler
+ * Drive a 4-shard async array through the ring scheduler
  * with an open-loop backlog and trailing dummies, and verify every
  * shard's recorded stream is exactly periodic at
  * max(rate + OLAT, occupancy) — the enforced slots shrink to the
@@ -162,13 +162,16 @@ asyncShardStreamsPeriodic(Cycles rate, std::string &detail)
     timing::RateLearner learner{rates};
     protocol::LeakageParams params;
     params.rateCount = 1;
-    sim::OramScheduler sched(device, rates, schedule, learner, rate,
-                             params);
+    constexpr std::uint64_t kBacklog = 512;
+    sim::RingScheduler::Options opts;
+    opts.ringCapacity = kBacklog;
+    sim::RingScheduler sched(device, rates, schedule, learner, rate, params,
+                             opts);
 
     sched.openSession(0x5eed);
-    for (std::uint64_t k = 0; k < 512; ++k)
-        sched.submit(0, k, timing::OramTransaction::real(k * 7919ull));
-    const Cycles last = sched.run();
+    for (std::uint64_t k = 0; k < kBacklog; ++k)
+        sched.trySubmit(0, k, timing::OramTransaction::real(k * 7919ull));
+    const Cycles last = sched.runUntilIdle();
     sched.drainUntil(last + 16 * (rate + device.accessLatency()));
 
     for (std::uint32_t i = 0; i < kShards; ++i) {

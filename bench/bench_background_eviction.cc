@@ -40,7 +40,7 @@
 #include "oram/eviction_engine.hh"
 #include "oram/oram_config.hh"
 #include "oram/sharded_device.hh"
-#include "sim/oram_scheduler.hh"
+#include "sim/shard_worker.hh"
 #include "timing/epoch_schedule.hh"
 #include "timing/rate_learner.hh"
 #include "timing/rate_set.hh"
@@ -63,7 +63,7 @@ struct Setup
 
 struct Outcome
 {
-    Cycles span = 0; ///< scheduler.run(): backlog drain span
+    Cycles span = 0; ///< scheduler.runUntilIdle(): backlog drain span
     std::uint64_t evictions = 0;
     std::uint64_t stashHighWater = 0;
     std::vector<std::vector<Cycles>> streams;
@@ -87,20 +87,22 @@ runOne(const Setup &s)
     timing::RateLearner learner(rates);
     protocol::LeakageParams params;
     params.rateCount = 1; // static rate: 0 bits per stream
-    sim::OramScheduler scheduler(device, rates, sched, learner, s.rate,
-                                 params);
+    sim::RingScheduler::Options opts;
+    opts.ringCapacity = kSessions * s.txnsPerSession;
+    sim::RingScheduler scheduler(device, rates, sched, learner, s.rate,
+                                 params, opts);
     for (std::uint32_t sess = 0; sess < kSessions; ++sess)
         scheduler.openSession(100 + sess);
     // Open-loop burst: the whole backlog arrives up front.
     for (std::uint64_t k = 0; k < s.txnsPerSession; ++k)
         for (std::uint32_t sess = 0; sess < kSessions; ++sess)
-            scheduler.submit(sess, k,
-                             timing::OramTransaction::real(
-                                 sess * 1'000'003ull + k * 7919ull,
-                                 k % 3 == 0, sess));
+            scheduler.trySubmit(sess, k,
+                                timing::OramTransaction::real(
+                                    sess * 1'000'003ull + k * 7919ull,
+                                    k % 3 == 0, sess));
 
     Outcome o;
-    o.span = scheduler.run();
+    o.span = scheduler.runUntilIdle();
     scheduler.drainUntil(o.span +
                          8 * (s.rate + device.accessLatency()));
     o.evictions = device.evictionsIssued();

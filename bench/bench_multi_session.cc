@@ -2,7 +2,7 @@
  * @file
  * Multi-session scaling bench: N closed-loop client sessions (each a
  * §5 protocol session with its own leakage budget and think time)
- * share ONE rate-enforced ORAM device through sim::OramScheduler.
+ * share ONE rate-enforced ORAM device through sim::RingScheduler.
  * Sweeps N = 1..64 and reports, per session count:
  *
  *  - aggregate throughput and device utilization (completions x slot
@@ -28,16 +28,19 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
+#include <queue>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hh"
 #include "common/rng.hh"
 #include "dram/dram_model.hh"
 #include "oram/oram_device.hh"
-#include "sim/oram_scheduler.hh"
-#include "timing/rate_enforcer.hh"
+#include "oram/sharded_device.hh"
+#include "sim/shard_worker.hh"
 
 using namespace tcoram;
 
@@ -72,17 +75,19 @@ runPoint(std::size_t n_sessions, Cycles rate, Cycles horizon)
 {
     dram::DramModel mem{dram::DramConfig{}};
     Rng calib_rng(42);
-    const oram::OramConfig geometry = oram::OramConfig::benchConfig();
-    oram::TimingOramDevice device(geometry, mem, calib_rng);
+    // One shard: bit-identical to the bare timing device.
+    const oram::OramDeviceSpec inner; // timing
+    oram::ShardedOramDevice device(inner, oram::OramConfig::benchConfig(),
+                                   /*shards=*/1, /*route_seed=*/7, mem,
+                                   calib_rng);
 
     const timing::RateSet rates(std::vector<Cycles>{rate});
     const timing::EpochSchedule schedule(Cycles{1} << 30, 2, Cycles{1} << 40);
     const timing::RateLearner learner(rates);
-    timing::RateEnforcer enforcer(device, rates, schedule, learner, rate);
 
     protocol::LeakageParams params;
     params.rateCount = rates.size(); // single rate: 0 ORAM-timing bits
-    sim::OramScheduler sched(enforcer, params);
+    sim::RingScheduler sched(device, rates, schedule, learner, rate, params);
 
     // Sessions alternate unlimited and finite (64-bit) budgets so the
     // admission handshake and the shared monitor both get exercised.
@@ -93,24 +98,30 @@ runPoint(std::size_t n_sessions, Cycles rate, Cycles horizon)
         think.emplace_back(mixSeed(0x714a6b, s));
     }
 
-    // Prime one outstanding request per session.
+    // Prime one outstanding request per session; requests are served
+    // one at a time in arrival order (ties by session id).
     std::vector<std::uint64_t> next_block(n_sessions, 0);
     auto think_gap = [&](std::size_t s) {
         return 2000 + think[s].nextBounded(28000); // mean ~16 K cycles
     };
+    using Request = std::pair<Cycles, std::uint32_t>; // (arrival, sid)
+    std::priority_queue<Request, std::vector<Request>, std::greater<>> due;
     for (std::size_t s = 0; s < n_sessions; ++s)
-        sched.submit(static_cast<std::uint32_t>(s), think_gap(s),
-                     timing::OramTransaction::real(next_block[s]++));
+        due.push({think_gap(s), static_cast<std::uint32_t>(s)});
 
     // Serve; completed requests respawn after think time until horizon.
     Cycles last = 0;
-    while (auto served = sched.serveNext()) {
-        last = std::max(last, served->completion.done);
-        const std::uint32_t s = served->sessionId;
-        const Cycles again = served->completion.done + think_gap(s);
+    while (!due.empty()) {
+        const auto [arrival, s] = due.top();
+        due.pop();
+        const Cycles done =
+            sched.serveNow(s, arrival,
+                           timing::OramTransaction::real(next_block[s]++))
+                .completion.done;
+        last = std::max(last, done);
+        const Cycles again = done + think_gap(s);
         if (again < horizon)
-            sched.submit(s, again,
-                         timing::OramTransaction::real(next_block[s]++));
+            due.push({again, s});
     }
 
     SweepPoint p;

@@ -1,19 +1,18 @@
 /**
  * @file
  * Million-session scheduler scaling bench: the lock-free ring front
- * (sim/shard_worker.hh) against the legacy dense scheduler
- * (sim/oram_scheduler.hh) on dispatch-bound workloads, plus the
+ * (sim/shard_worker.hh) on dispatch-bound workloads, plus the
  * million-open-session smoke the descriptor design exists for.
  *
  * Four sections, every one also asserted under --check:
  *
- *  1. DISPATCH THROUGHPUT — S sessions, M = 16 shards, open-loop
- *     backlog. The legacy scheduler's serve is an O(S) scan over the
- *     per-session FIFO array; the ring scheduler's activation list is
- *     O(1) under backlog. At S in the thousands the ring engine must
- *     dispatch >= 10x the legacy transactions/second — an algorithmic
- *     ratio (same simulated work on both sides), so the gate is
- *     host-independent.
+ *  1. DISPATCH SCALING — M = 16 shards, open-loop backlog of the same
+ *     8192 transactions spread over 16 and over 2048 sessions. The
+ *     activation list is O(1) per dispatch under backlog, so the
+ *     2048-session run must keep >= 0.5x the 16-session
+ *     transactions/second (an O(S) scan ran ~30x slower there) — a
+ *     ratio of two runs on the same host, each the fastest of three
+ *     repetitions, so the gate is host-independent.
  *  2. WORKER SWEEP — the same point at 1, 4 and min(16, hw) worker
  *     threads. Every worker count must produce a bit-identical
  *     per-shard summary CSV (the determinism contract); wall-clock
@@ -47,7 +46,6 @@
 #include "dram/dram_model.hh"
 #include "oram/oram_device.hh"
 #include "oram/sharded_device.hh"
-#include "sim/oram_scheduler.hh"
 #include "sim/shard_worker.hh"
 #include "timing/dispatch_policy.hh"
 #include "timing/rate_enforcer.hh"
@@ -104,10 +102,17 @@ rssKb()
     return 0;
 }
 
+/** Dispatch-scaling point: the same backlog over few and many sessions. */
+constexpr std::uint64_t kScalingTxns = 8192;
+constexpr std::size_t kFewSessions = 16;
+constexpr std::size_t kManySessions = 2048;
+constexpr int kScalingReps = 3;
+
 /** Everything a timed engine run reports. */
 struct EnginePoint
 {
     std::string engine;
+    std::size_t sessions = 0;
     unsigned threads = 1;
     std::uint64_t served = 0;
     double wallSeconds = 0.0;
@@ -117,45 +122,10 @@ struct EnginePoint
 };
 
 /**
- * The ONE dispatch workload both engines run: S sessions each queue
- * per-session transactions with arrivals at cycle k — the full
- * backlog the activation list is O(1) under and the dense scan is
- * O(S) under.
+ * The dispatch workload: S sessions each queue per-session
+ * transactions with arrivals at cycle k — the full backlog the
+ * activation list is O(1) under.
  */
-EnginePoint
-runLegacy(std::size_t sessions, std::uint64_t total_txns)
-{
-    dram::DramModel mem{dram::DramConfig{}};
-    Rng rng(42);
-    oram::OramDeviceSpec inner;
-    oram::ShardedOramDevice device(inner, oram::OramConfig::benchConfig(),
-                                   kShards, kRouteSeed, mem, rng);
-    RateConfig rc;
-    sim::OramScheduler sched(device, rc.rates, rc.schedule, rc.learner,
-                             kRate, RateConfig::params());
-    for (std::size_t s = 0; s < sessions; ++s)
-        sched.openSession(mixSeed(0x5a7d, s));
-
-    const std::uint64_t per_session = total_txns / sessions;
-    const auto t0 = std::chrono::steady_clock::now();
-    for (std::uint64_t k = 0; k < per_session; ++k)
-        for (std::size_t s = 0; s < sessions; ++s)
-            sched.submit(static_cast<std::uint32_t>(s), k,
-                         timing::OramTransaction::real(blockId(s, k)));
-    const Cycles last = sched.run();
-    const auto t1 = std::chrono::steady_clock::now();
-
-    EnginePoint p;
-    p.engine = "legacy";
-    p.served = per_session * sessions;
-    p.wallSeconds = seconds(t0, t1);
-    p.txnsPerSec = p.wallSeconds > 0.0
-                       ? static_cast<double>(p.served) / p.wallSeconds
-                       : 0.0;
-    p.lastCompletion = last;
-    return p;
-}
-
 EnginePoint
 runRing(std::size_t sessions, std::uint64_t total_txns, unsigned threads,
         timing::DispatchPolicyKind policy)
@@ -201,6 +171,7 @@ runRing(std::size_t sessions, std::uint64_t total_txns, unsigned threads,
 
     EnginePoint p;
     p.engine = "ring";
+    p.sessions = sessions;
     p.threads = threads;
     p.served = sched.servedTotal();
     p.wallSeconds = seconds(t0, t1);
@@ -210,6 +181,21 @@ runRing(std::size_t sessions, std::uint64_t total_txns, unsigned threads,
     p.lastCompletion = sched.lastCompletion();
     p.csv = sched.csv();
     return p;
+}
+
+/** Fastest of kScalingReps identical runs: outside load only adds
+ *  wall time. */
+EnginePoint
+fastestRing(std::size_t sessions, std::uint64_t total_txns)
+{
+    EnginePoint best;
+    for (int rep = 0; rep < kScalingReps; ++rep) {
+        EnginePoint p = runRing(sessions, total_txns, 1,
+                                timing::DispatchPolicyKind::RoundRobin);
+        if (rep == 0 || p.txnsPerSec > best.txnsPerSec)
+            best = std::move(p);
+    }
+    return best;
 }
 
 /** Million-open-session smoke results. */
@@ -300,23 +286,25 @@ main(int argc, char **argv)
     std::printf("%-10s %-8s %-10s %-10s %-12s %-10s\n", "engine",
                 "threads", "sessions", "served", "wall-ms", "txn/s");
 
-    // --- 1. dispatch throughput: legacy O(S) scan vs ring O(1) list
-    const EnginePoint legacy = runLegacy(sessions, total_txns);
-    EnginePoint ring1 = runRing(sessions, total_txns, 1,
-                                timing::DispatchPolicyKind::RoundRobin);
-    auto row = [](const EnginePoint &p, std::size_t n_sessions) {
+    // --- 1. dispatch scaling: same backlog, few vs many sessions
+    auto row = [](const EnginePoint &p) {
         std::printf("%-10s %-8u %-10zu %-10llu %-12.1f %-10.0f\n",
-                    p.engine.c_str(), p.threads, n_sessions,
+                    p.engine.c_str(), p.threads, p.sessions,
                     (unsigned long long)p.served, 1e3 * p.wallSeconds,
                     p.txnsPerSec);
     };
-    row(legacy, sessions);
-    row(ring1, sessions);
-    const double dispatch_speedup =
-        legacy.txnsPerSec > 0.0 ? ring1.txnsPerSec / legacy.txnsPerSec
-                                : 0.0;
-    std::printf("ring vs legacy dispatch speedup: %.1fx\n",
-                dispatch_speedup);
+    const EnginePoint few = fastestRing(kFewSessions, kScalingTxns);
+    const EnginePoint many = fastestRing(kManySessions, kScalingTxns);
+    row(few);
+    row(many);
+    const double dispatch_scaling =
+        few.txnsPerSec > 0.0 ? many.txnsPerSec / few.txnsPerSec : 0.0;
+    std::printf("dispatch rate at %zu vs %zu sessions: %.2fx\n",
+                kManySessions, kFewSessions, dispatch_scaling);
+
+    EnginePoint ring1 = runRing(sessions, total_txns, 1,
+                                timing::DispatchPolicyKind::RoundRobin);
+    row(ring1);
 
     // --- 2. worker sweep: bit-identity + wall clock
     std::vector<unsigned> worker_counts{1, 4};
@@ -327,7 +315,7 @@ main(int argc, char **argv)
     for (std::size_t i = 1; i < worker_counts.size(); ++i) {
         EnginePoint p = runRing(sessions, total_txns, worker_counts[i],
                                 timing::DispatchPolicyKind::RoundRobin);
-        row(p, sessions);
+        row(p);
         if (p.csv != ring1.csv || p.served != ring1.served ||
             p.lastCompletion != ring1.lastCompletion)
             identical = false;
@@ -380,7 +368,7 @@ main(int argc, char **argv)
         os << "  \"shards\": " << kShards << ",\n";
         os << "  \"sessions\": " << sessions << ",\n";
         os << "  \"total_txns\": " << total_txns << ",\n";
-        os << "  \"dispatch_speedup\": " << num(dispatch_speedup) << ",\n";
+        os << "  \"dispatch_scaling\": " << num(dispatch_scaling) << ",\n";
         os << "  \"worker_csv_identical\": "
            << (identical ? "true" : "false") << ",\n";
         os << "  \"policy_envelope_identical\": "
@@ -391,6 +379,7 @@ main(int argc, char **argv)
             os << (first ? "\n    {" : ",\n    {");
             first = false;
             os << "\"engine\": \"" << p.engine << "\"";
+            os << ", \"sessions\": " << p.sessions;
             os << ", \"threads\": " << p.threads;
             os << ", \"served\": " << p.served;
             os << ", \"wall_seconds\": " << num(p.wallSeconds);
@@ -398,7 +387,8 @@ main(int argc, char **argv)
             os << ", \"last_completion\": " << p.lastCompletion;
             os << "}";
         };
-        emit(legacy);
+        emit(few);
+        emit(many);
         for (const auto &p : workers)
             emit(p);
         os << "\n  ],\n";
@@ -422,10 +412,10 @@ main(int argc, char **argv)
     // --- CI gate ---
     if (check) {
         bool ok = true;
-        if (dispatch_speedup < 10.0) {
-            std::printf("FAIL: ring dispatch only %.1fx legacy "
-                        "(< 10x)\n",
-                        dispatch_speedup);
+        if (dispatch_scaling < 0.5) {
+            std::printf("FAIL: dispatch at %zu sessions runs at %.2fx "
+                        "the %zu-session rate (< 0.5x: not O(1))\n",
+                        kManySessions, dispatch_scaling, kFewSessions);
             ok = false;
         }
         if (!identical) {
@@ -468,7 +458,7 @@ main(int argc, char **argv)
         }
         if (!ok)
             return 1;
-        std::printf("check OK: >= 10x dispatch, bit-identical worker "
+        std::printf("check OK: O(1) dispatch scaling, bit-identical worker "
                     "sweep, policy-invariant envelope, million-session "
                     "smoke within budget\n");
     }

@@ -2,7 +2,7 @@
  * @file
  * Sharded ORAM device array scaling bench: S closed sessions feed M
  * rate-enforced subtree devices (oram/sharded_device.hh) through the
- * shard-aware sim::OramScheduler. Sweeps M in {1, 2, 4, 8, 16} x
+ * ring scheduler (sim::RingScheduler). Sweeps M in {1, 2, 4, 8, 16} x
  * session counts with a fixed open-loop backlog and reports, per
  * point:
  *
@@ -17,7 +17,7 @@
  * each shard's recorded observable stream must be exactly periodic
  * (gap = rate + that shard's OLAT, dummies included), and the M = 1
  * array must emit a stream bit-identical to the bare unsharded
- * device behind the PR 3 single-enforcer scheduler.
+ * device behind a single enforcer.
  *
  * Usage:
  *   bench_sharded_throughput [--quick] [--json <path>] [--check]
@@ -42,7 +42,7 @@
 #include "dram/dram_model.hh"
 #include "oram/oram_device.hh"
 #include "oram/sharded_device.hh"
-#include "sim/oram_scheduler.hh"
+#include "sim/shard_worker.hh"
 #include "timing/rate_enforcer.hh"
 
 using namespace tcoram;
@@ -119,29 +119,46 @@ struct RateConfig
  * The ONE workload every harness runs (the M = 1 equality check is
  * only meaningful because all paths feed literally this): open-loop,
  * every session queues its whole backlog up front (arrivals at cycle
- * k), so each slot serves continuously until its FIFO drains — the
- * saturation regime where the scaling claim must hold. After the run,
- * trailing dummies keep every stream going past the last real
- * completion — periodicity must survive the drain too.
+ * k), so each slot serves continuously until its queue drains — the
+ * saturation regime where the scaling claim must hold. @p submit gets
+ * (session, arrival, txn) in submission order.
+ */
+template <typename Submit>
+void
+forEachTxn(std::size_t n_sessions, std::uint64_t total_txns, Submit submit)
+{
+    const std::uint64_t per_session = total_txns / n_sessions;
+    for (std::uint64_t k = 0; k < per_session; ++k)
+        for (std::size_t s = 0; s < n_sessions; ++s)
+            submit(static_cast<std::uint32_t>(s), k,
+                   timing::OramTransaction::real(blockId(s, k)));
+}
+
+/**
+ * Run the workload through @p sched. After the run, trailing dummies
+ * keep every stream going past the last real completion — periodicity
+ * must survive the drain too.
  * @return the last real completion cycle (the throughput span).
  */
 Cycles
-driveWorkload(sim::OramScheduler &sched, std::size_t n_sessions,
+driveWorkload(sim::RingScheduler &sched, std::size_t n_sessions,
               std::uint64_t total_txns, Cycles slot_period)
 {
     for (std::size_t s = 0; s < n_sessions; ++s)
         sched.openSession(mixSeed(0x5a7d, s));
-    const std::uint64_t per_session = total_txns / n_sessions;
-    for (std::uint64_t k = 0; k < per_session; ++k)
-        for (std::size_t s = 0; s < n_sessions; ++s)
-            sched.submit(static_cast<std::uint32_t>(s), k,
-                         timing::OramTransaction::real(blockId(s, k)));
-    const Cycles last = sched.run();
+    forEachTxn(n_sessions, total_txns,
+               [&](std::uint32_t s, Cycles arrival,
+                   const timing::OramTransaction &txn) {
+                   if (!sched.trySubmit(s, arrival, txn))
+                       tcoram_fatal("backlog exceeds the lane capacity");
+               });
+    const Cycles last = sched.runUntilIdle();
     sched.drainUntil(last + 8 * slot_period);
     return last;
 }
 
-/** Sharded harness: M recorded subtrees behind the shard scheduler. */
+/** Sharded harness: M recorded subtrees behind the ring scheduler,
+ *  its lane sized for the whole open-loop backlog. */
 struct ShardedRun
 {
     dram::DramModel mem{dram::DramConfig{}};
@@ -149,14 +166,22 @@ struct ShardedRun
     oram::OramDeviceSpec inner; // timing backend per subtree
     oram::ShardedOramDevice device;
     RateConfig rc;
-    sim::OramScheduler sched;
+    sim::RingScheduler sched;
 
-    explicit ShardedRun(std::uint32_t shards)
+    ShardedRun(std::uint32_t shards, std::uint64_t total_txns)
         : device(inner, oram::OramConfig::benchConfig(), shards,
                  kRouteSeed, mem, rng, /*record=*/true),
           sched(device, rc.rates, rc.schedule, rc.learner, kRate,
-                RateConfig::params())
+                RateConfig::params(), options(total_txns))
     {
+    }
+
+    static sim::RingScheduler::Options
+    options(std::uint64_t total_txns)
+    {
+        sim::RingScheduler::Options o;
+        o.ringCapacity = total_txns;
+        return o;
     }
 };
 
@@ -164,7 +189,7 @@ SweepPoint
 runPoint(std::uint32_t n_shards, std::size_t n_sessions,
          std::uint64_t total_txns)
 {
-    ShardedRun run(n_shards);
+    ShardedRun run(n_shards, total_txns);
     oram::ShardedOramDevice &device = run.device;
     const Cycles last =
         driveWorkload(run.sched, n_sessions, total_txns,
@@ -207,9 +232,10 @@ runPoint(std::uint32_t n_shards, std::size_t n_sessions,
 }
 
 /**
- * The bare-device reference: driveWorkload through the PR 3
- * single-enforcer scheduler over an unsharded TimingOramDevice.
- * Returns the full observable stream (reals + dummies).
+ * The bare-device reference: the workload served in submission order
+ * by one enforcer over an unsharded TimingOramDevice, then the same
+ * trailing drain. Returns the full observable stream (reals +
+ * dummies).
  */
 std::vector<StreamEvent>
 bareStream(std::size_t n_sessions, std::uint64_t total_txns)
@@ -222,9 +248,13 @@ bareStream(std::size_t n_sessions, std::uint64_t total_txns)
     RateConfig rc;
     timing::RateEnforcer enforcer(recorder, rc.rates, rc.schedule,
                                   rc.learner, kRate);
-    sim::OramScheduler sched(enforcer, RateConfig::params());
-    driveWorkload(sched, n_sessions, total_txns,
-                  kRate + recorder.accessLatency());
+    Cycles last = 0;
+    forEachTxn(n_sessions, total_txns,
+               [&](std::uint32_t, Cycles arrival,
+                   const timing::OramTransaction &txn) {
+                   last = enforcer.serve(arrival, txn).done;
+               });
+    enforcer.drainUntil(last + 8 * (kRate + recorder.accessLatency()));
     return events(recorder);
 }
 
@@ -232,7 +262,7 @@ bareStream(std::size_t n_sessions, std::uint64_t total_txns)
 std::vector<StreamEvent>
 shardedM1Stream(std::size_t n_sessions, std::uint64_t total_txns)
 {
-    ShardedRun run(1);
+    ShardedRun run(1, total_txns);
     driveWorkload(run.sched, n_sessions, total_txns,
                   kRate + run.device.accessLatency());
     return events(*run.device.recorder(0));
@@ -279,7 +309,7 @@ main(int argc, char **argv)
     }
 
     // M = 1 transparency: the array's single stream must be
-    // bit-identical to the bare device behind the PR 3 scheduler.
+    // bit-identical to the bare device behind one enforcer.
     const std::size_t eq_sessions = session_counts.back();
     const bool m1_identical =
         bareStream(eq_sessions, total_txns) ==

@@ -20,7 +20,7 @@
  * given the public rate schedule, so the channels compose additively
  * (§10): the array leaks at most M * |E| * lg|R| bits. Admission and
  * the shared LeakageMonitor account for the composed bound
- * (protocol::LeakageParams::shards, sim/oram_scheduler.hh).
+ * (protocol::LeakageParams::shards, sim/shard_worker.hh).
  *
  * With M = 1 the wrapper is transparent: the single inner device is
  * built from the identical factory spec with the identical calibration

@@ -63,15 +63,27 @@ RecoveryRun::RecoveryRun(const RecoveryRunConfig &cfg)
       schedule_(cfg.epoch0, 2, Cycles{1} << 40), learner_(rates_)
 {
     tcoram_assert(cfg_.shards >= 1, "recovery run needs a shard");
-    if (workloadDriven())
+    if (workloadDriven()) {
         materializeWorkload(); // overrides cfg_.sessions to the ranks
+    } else {
+        // Open-loop: the whole backlog arrives up front (session s's
+        // k-th transaction at cycle k), the saturation regime where
+        // every shard serves back-to-back and the slot grid never
+        // breaks.
+        plan_.reserve(cfg_.sessions * cfg_.txnsPerSession);
+        for (std::uint64_t k = 0; k < cfg_.txnsPerSession; ++k)
+            for (std::uint32_t s = 0; s < cfg_.sessions; ++s)
+                plan_.push_back({s, k, blockId(s, k), k % 3 == 0});
+    }
     tcoram_assert(cfg_.sessions >= 1, "recovery run needs a session");
     device_ = std::make_unique<oram::ShardedOramDevice>(
         innerSpec(cfg_), oram::OramConfig::benchConfig(), cfg_.shards,
         mixSeed(cfg_.seed, 0x0072a7e5ull), mem_, rng_, /*record=*/true);
-    sched_ = std::make_unique<OramScheduler>(*device_, rates_, schedule_,
+    RingScheduler::Options opts;
+    opts.ringCapacity = 2; // one transaction in flight at a time
+    sched_ = std::make_unique<RingScheduler>(*device_, rates_, schedule_,
                                              learner_, cfg_.rate,
-                                             runParams(cfg_));
+                                             runParams(cfg_), opts);
     // Session 0 carries a finite budget so the shared LeakageMonitor
     // exists and its ledger is exercised (and checkpointed); with a
     // single-rate set the budget can never be exceeded.
@@ -123,6 +135,12 @@ RecoveryRun::materializeWorkload()
                           "workload-driven recovery backlog too large");
         }
     }
+    // Serve the ranks concurrently, in arrival order (stable, so each
+    // rank's own order is kept).
+    std::stable_sort(plan_.begin(), plan_.end(),
+                     [](const PlannedOp &a, const PlannedOp &b) {
+                         return a.arrival < b.arrival;
+                     });
     std::sort(marks_.begin(), marks_.end());
     marks_.erase(std::unique(marks_.begin(), marks_.end()), marks_.end());
 }
@@ -134,32 +152,27 @@ RecoveryRun::start()
 {
     tcoram_assert(!started_, "run already started or restored");
     started_ = true;
-    if (workloadDriven()) {
-        for (const PlannedOp &op : plan_)
-            sched_->submit(op.session, op.arrival,
-                           timing::OramTransaction::real(
-                               op.blockId, op.isWrite, op.session));
-        return;
-    }
-    // Open-loop: the whole backlog arrives up front (session s's k-th
-    // transaction at cycle k), the saturation regime where every shard
-    // serves back-to-back and the slot grid never breaks.
-    for (std::uint64_t k = 0; k < cfg_.txnsPerSession; ++k)
-        for (std::uint32_t s = 0; s < cfg_.sessions; ++s)
-            sched_->submit(s, k,
-                           timing::OramTransaction::real(
-                               blockId(s, k), k % 3 == 0, s));
+}
+
+void
+RecoveryRun::serveTxn(std::uint32_t sid, Cycles arrival,
+                      const timing::OramTransaction &txn)
+{
+    const SessionRing::Completion c = sched_->serveNow(sid, arrival, txn);
+    ++served_;
+    lastReal_ = std::max(lastReal_, c.completion.done);
 }
 
 bool
 RecoveryRun::serveOne()
 {
     tcoram_assert(started_, "start() or restoreFrom() first");
-    const auto served = sched_->serveNext();
-    if (!served)
+    if (next_ == plan_.size())
         return false;
-    ++served_;
-    lastReal_ = std::max(lastReal_, served->completion.done);
+    const PlannedOp &op = plan_[next_++];
+    serveTxn(op.session, op.arrival,
+             timing::OramTransaction::real(op.blockId, op.isWrite,
+                                           op.session));
     return true;
 }
 
@@ -185,6 +198,7 @@ RecoveryRun::saveTo(const std::string &path) const
     w.b(started_);
     w.u64(served_);
     w.u64(lastReal_);
+    w.u64(next_);
     w.u64(probeArrival_.size());
     for (const Cycles a : probeArrival_)
         w.u64(a);
@@ -202,16 +216,28 @@ RecoveryRun::restoreFrom(const std::string &path)
     if (std::string err = loadCheckpoint(path, payload); !err.empty())
         return err;
     ByteReader r(payload);
-    started_ = r.b();
-    served_ = r.u64();
-    lastReal_ = r.u64();
-    const std::uint64_t probes = r.u64();
-    tcoram_assert(probes == probeArrival_.size(),
-                  "snapshot session count mismatch");
+    const bool started = r.b();
+    const std::uint64_t served = r.u64();
+    const Cycles last_real = r.u64();
+    const std::uint64_t next = r.u64();
+    const std::uint64_t sessions = r.u64();
+    if (sessions != probeArrival_.size())
+        return "checkpoint: snapshot has " + std::to_string(sessions) +
+               " sessions, this configuration " +
+               std::to_string(probeArrival_.size());
+    if (next > plan_.size())
+        return "checkpoint: snapshot backlog cursor " +
+               std::to_string(next) + " is past this configuration's " +
+               std::to_string(plan_.size()) + " transactions";
+    started_ = started;
+    served_ = served;
+    lastReal_ = last_real;
+    next_ = next;
     for (Cycles &a : probeArrival_)
         a = r.u64();
     device_->restoreState(r);
-    sched_->restoreState(r);
+    if (std::string err = sched_->restoreState(r); !err.empty())
+        return "checkpoint: " + err;
     if (!r.atEnd())
         return std::string("checkpoint: payload does not match this "
                            "configuration (decode ") +
@@ -297,7 +323,7 @@ RecoveryRun::verifyPayloads(std::uint64_t probes)
 {
     if (cfg_.deviceKind != "functional")
         return 0; // timing backends move no payloads
-    tcoram_assert(started_ && sched_->idle(),
+    tcoram_assert(started_ && next_ == plan_.size(),
                   "probe after the backlog is drained");
     const std::uint64_t bytes = device_->shardConfig().blockBytes;
     std::vector<std::uint8_t> wrote(bytes);
@@ -311,19 +337,17 @@ RecoveryRun::verifyPayloads(std::uint64_t probes)
                 mixSeed(cfg_.seed, i * bytes + j));
         std::fill(read.begin(), read.end(), 0);
 
-        // Write then read back-to-back: the queue is empty, so each
-        // submit is served immediately and the span views stay valid.
+        // Write then read back-to-back: each is served to completion
+        // before the call returns, so the span views stay valid.
         timing::OramTransaction wt =
             timing::OramTransaction::real(id, /*is_write=*/true, s);
         wt.data = wrote;
-        sched_->submit(s, probeArrival_[s]++, wt);
-        serveOne();
+        serveTxn(s, probeArrival_[s]++, wt);
 
         timing::OramTransaction rt =
             timing::OramTransaction::real(id, /*is_write=*/false, s);
         rt.out = read;
-        sched_->submit(s, probeArrival_[s]++, rt);
-        serveOne();
+        serveTxn(s, probeArrival_[s]++, rt);
 
         if (read != wrote)
             ++mismatches;

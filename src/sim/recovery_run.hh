@@ -3,13 +3,16 @@
  * RecoveryRun: the crash-consistent run harness behind the fault-
  * recovery bench, the checkpoint tests and cli_sim's checkpoint mode.
  * It owns the whole deterministic stack — DRAM model, sharded device
- * array (recorded), rate configuration, shard-aware scheduler — and
- * drives one open-loop multi-session workload through it, with three
- * additions over driving the scheduler directly:
+ * array (recorded), rate configuration, ring scheduler — and drives
+ * one multi-session workload through it. The backlog is a plan (the
+ * open-loop synthetic grid or a materialized workload) consumed by a
+ * cursor: serveOne() feeds the scheduler the next transaction and runs
+ * it to quiescence, so the scheduler holds no queued work between
+ * calls. Three additions over driving the scheduler directly:
  *
- *  - checkpoint: saveTo() serializes the complete run state (device
- *    array including functional tree images and fault-injector draws,
- *    scheduler including queued backlog, stats and the leakage
+ *  - checkpoint: saveTo() serializes the complete run state (plan
+ *    cursor, device array including functional tree images and
+ *    fault-injector draws, scheduler enforcers, stats and the leakage
  *    monitor's ledger) through sim/checkpoint.hh's crash-consistent
  *    file format;
  *  - restart: a freshly constructed RecoveryRun over the SAME config
@@ -39,7 +42,7 @@
 #include "dram/faulty_memory.hh"
 #include "oram/oram_device.hh"
 #include "oram/sharded_device.hh"
-#include "sim/oram_scheduler.hh"
+#include "sim/shard_worker.hh"
 #include "timing/epoch_schedule.hh"
 #include "timing/rate_learner.hh"
 #include "timing/rate_set.hh"
@@ -107,17 +110,21 @@ class RecoveryRun
     explicit RecoveryRun(const RecoveryRunConfig &cfg);
     ~RecoveryRun();
 
-    /** Queue the whole open-loop backlog (cold start). */
+    /** Begin serving the backlog from its first transaction (cold
+     *  start). */
     void start();
 
     /**
-     * Restore a snapshot instead of start()ing: the backlog, device
-     * and stats resume exactly where the saved run stood.
-     * @return empty string on success, else the load diagnostic.
+     * Restore a snapshot instead of start()ing: the backlog cursor,
+     * device and stats resume exactly where the saved run stood.
+     * @return empty string on success, else the diagnostic (load
+     *         failure, or a snapshot of a different session, shard or
+     *         lane count).
      */
     std::string restoreFrom(const std::string &path);
 
-    /** Serve one queued transaction. @return false when drained. */
+    /** Serve the next backlog transaction. @return false when the
+     *  backlog is exhausted. */
     bool serveOne();
 
     /**
@@ -131,13 +138,7 @@ class RecoveryRun
     std::string saveTo(const std::string &path) const;
 
     std::uint64_t servedTotal() const { return served_; }
-    std::uint64_t backlogTotal() const
-    {
-        if (workloadDriven())
-            return plan_.size();
-        return static_cast<std::uint64_t>(cfg_.sessions) *
-               cfg_.txnsPerSession;
-    }
+    std::uint64_t backlogTotal() const { return plan_.size(); }
     bool workloadDriven() const { return !cfg_.workloadSpec.empty(); }
     /**
      * Served-count marks at which the workload asked for a snapshot
@@ -160,7 +161,7 @@ class RecoveryRun
     /** Shard @p i's full recorded stream (reals and dummies). */
     std::vector<Event> shardStream(std::uint32_t i) const;
 
-    const OramScheduler &scheduler() const { return *sched_; }
+    const RingScheduler &scheduler() const { return *sched_; }
     oram::ShardedOramDevice &device() { return *device_; }
     const RecoveryRunConfig &config() const { return cfg_; }
 
@@ -190,7 +191,7 @@ class RecoveryRun
     static std::string csvHeader();
 
   private:
-    /** One materialized workload access (workload-driven mode). */
+    /** One backlog transaction. */
     struct PlannedOp
     {
         std::uint32_t session = 0;
@@ -200,6 +201,9 @@ class RecoveryRun
     };
 
     void materializeWorkload();
+    /** Serve one transaction to completion through the scheduler. */
+    void serveTxn(std::uint32_t sid, Cycles arrival,
+                  const timing::OramTransaction &txn);
 
     RecoveryRunConfig cfg_;
     dram::DramModel mem_;
@@ -208,14 +212,15 @@ class RecoveryRun
     timing::EpochSchedule schedule_;
     timing::RateLearner learner_;
     std::unique_ptr<oram::ShardedOramDevice> device_;
-    std::unique_ptr<OramScheduler> sched_;
+    std::unique_ptr<RingScheduler> sched_;
     bool started_ = false;
     std::uint64_t served_ = 0;
     Cycles lastReal_ = 0;
     /** Next probe arrival per session (after the backlog's arrivals). */
     std::vector<Cycles> probeArrival_;
-    /** Workload-driven backlog (empty in legacy mode). */
+    /** The backlog, in service order, and the next entry to serve. */
     std::vector<PlannedOp> plan_;
+    std::uint64_t next_ = 0;
     /** Served-count checkpoint marks, ascending. */
     std::vector<std::uint64_t> marks_;
     std::uint64_t checkpointIntervalOps_ = 0;

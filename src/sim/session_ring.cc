@@ -67,4 +67,22 @@ SessionRing::pushCompletion(const Completion &c)
     tcoram_assert(ok, "completion ring full: in-flight bound violated");
 }
 
+void
+SessionRing::saveState(ByteWriter &w) const
+{
+    tcoram_assert(quiescent(), "lane with work in flight is not "
+                               "checkpointable");
+    w.u64(submitted());
+}
+
+void
+SessionRing::restoreState(ByteReader &r)
+{
+    tcoram_assert(quiescent(), "restore into a busy lane");
+    const std::uint64_t tokens = r.u64();
+    nextToken_ = tokens + 1;
+    drained_ = tokens;
+    fence_.store(tokens, std::memory_order_release);
+}
+
 } // namespace tcoram::sim

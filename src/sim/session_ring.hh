@@ -49,6 +49,7 @@
 #include <vector>
 
 #include "common/log.hh"
+#include "common/serial.hh"
 #include "timing/oram_device.hh"
 
 namespace tcoram::sim {
@@ -187,6 +188,22 @@ class SessionRing
     /** Push a completion; the backpressure bound (which caps in-flight
      *  transactions) means this cannot find the ring full (asserted). */
     void pushCompletion(const Completion &c);
+
+    /** True when nothing is in flight or ringed in either direction. */
+    bool
+    quiescent() const
+    {
+        return inFlight() == 0 && submissionBacklog() == 0 &&
+               completionBacklog() == 0;
+    }
+
+    /**
+     * Checkpoint support: the token counter of a quiescent lane
+     * (asserted) — every issued token is retired, so it also fixes the
+     * drain count and the fence.
+     */
+    void saveState(ByteWriter &w) const;
+    void restoreState(ByteReader &r);
 
   private:
     SpscRing<Submission> sq_;

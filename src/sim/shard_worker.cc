@@ -13,8 +13,7 @@
 namespace tcoram::sim {
 
 namespace {
-/** Program hash stand-in bound into every session's leakage HMAC —
- *  the same run identity OramScheduler binds. */
+/** Program hash stand-in bound into every session's leakage HMAC. */
 const std::string kProgramHash = "tcoram-scheduler-run";
 } // namespace
 
@@ -76,9 +75,8 @@ RingScheduler::openSession(std::uint64_t user_seed, double leakage_limit_bits,
                            std::uint16_t lane, std::uint16_t weight,
                            Cycles deadline_offset)
 {
-    // Same rule as OramScheduler: the shared monitor is rebuilt from
-    // the tightest finite budget at open, so admission belongs
-    // strictly before service.
+    // The shared monitor is rebuilt from the tightest finite budget at
+    // open, so admission belongs strictly before service.
     tcoram_assert(!anyServed_,
                   "open every session before any transaction is served");
     tcoram_assert(lane < lanes_.size(), "unknown lane ", lane);
@@ -191,7 +189,7 @@ RingScheduler::shardStep(unsigned worker)
     for (std::size_t s = worker; s < slots_.size(); s += workers_) {
         timing::ShardSlot &slot = *slots_[s];
         if (draining_) {
-            if (!slot.drainScaled(drainT_))
+            if (!slot.drain(drainT_))
                 blocked_[s] = 1;
             continue;
         }
@@ -202,8 +200,8 @@ RingScheduler::shardStep(unsigned worker)
             for (auto &st : staged) {
                 device_->localize(static_cast<std::uint32_t>(s), st.txn);
                 const SessionDescriptor &d = descriptors_[st.sessionId];
-                slot.enqueueScaled(st.sessionId, st.arrival, st.txn,
-                                   d.weight, d.deadlineOffset);
+                slot.enqueue(st.sessionId, st.arrival, st.txn, d.weight,
+                             d.deadlineOffset);
             }
             staged.clear();
         }
@@ -212,7 +210,7 @@ RingScheduler::shardStep(unsigned worker)
         const std::uint64_t before = servedPerShard_[s];
         timing::ShardSlot::Served out;
         for (;;) {
-            const auto status = slot.serveScaled(out);
+            const auto status = slot.serve(out);
             if (status == timing::ShardSlot::ServeStatus::Done) {
                 const SessionDescriptor &d = descriptors_[out.sessionId];
                 buckets_[s][d.lane].push_back(SessionRing::Completion{
@@ -349,6 +347,23 @@ RingScheduler::drainUntil(Cycles t)
     pump(true, t);
 }
 
+SessionRing::Completion
+RingScheduler::serveNow(std::uint32_t sid, Cycles arrival,
+                        timing::OramTransaction txn)
+{
+    tcoram_assert(sid < descriptors_.size(), "unknown session ", sid);
+    SessionRing &ring = *lanes_[descriptors_[sid].lane];
+    tcoram_assert(ring.quiescent(), "serveNow needs an idle lane");
+    const auto token = trySubmit(sid, arrival, txn);
+    tcoram_assert(token.has_value(), "idle lane refused a submission");
+    runUntilIdle();
+    SessionRing::Completion c;
+    const bool popped = ring.popCompletion(c);
+    tcoram_assert(popped && c.token == *token,
+                  "closed-loop step lost its completion");
+    return c;
+}
+
 const SessionStats &
 RingScheduler::stats(std::uint32_t sid) const
 {
@@ -415,9 +430,10 @@ RingScheduler::latencyPercentile(std::uint32_t sid, double q) const
     const auto &lat = descriptors_[sid].latencies;
     if (lat.empty())
         return 0;
-    // Same nearest-rank discipline as OramScheduler: nth_element over
-    // a REUSED scratch keeps repeated quantile queries linear and
-    // allocation-free once the scratch has grown.
+    // Nearest-rank: smallest value with at least q of the mass below.
+    // nth_element over a REUSED scratch keeps repeated quantile
+    // queries linear and allocation-free once the scratch has grown —
+    // the samples themselves stay untouched (and in arrival order).
     latencyScratch_.assign(lat.begin(), lat.end());
     const auto rank = static_cast<std::size_t>(
         std::ceil(q * static_cast<double>(lat.size())));
@@ -479,6 +495,104 @@ RingScheduler::telemetryCsv() const
     tcoram_assert(telemetry_ != nullptr,
                   "telemetryCsv requires Options::recordShardTelemetry");
     return telemetry_->csv();
+}
+
+void
+RingScheduler::saveState(ByteWriter &w) const
+{
+    for (const auto &slot : slots_)
+        tcoram_assert(slot->idle(), "checkpoint needs a quiescent scheduler");
+    w.u64(slots_.size());
+    w.u64(lanes_.size());
+    w.u64(descriptors_.size());
+    w.b(monitor_ != nullptr);
+    if (monitor_)
+        monitor_->saveState(w);
+    for (const SessionDescriptor &d : descriptors_) {
+        const SessionStats &st = d.stats;
+        w.u32(st.sessionId);
+        w.f64(st.leakageLimitBits);
+        w.b(st.admitted);
+        w.u64(st.submitted);
+        w.u64(st.completed);
+        w.u64(st.firstArrival);
+        w.u64(st.lastCompletion);
+        w.u64(st.totalLatency);
+        w.u64(st.totalSlotWait);
+        w.u64(st.maxLatency);
+        w.u32(d.lane);
+        w.u32(d.weight);
+        w.u64(d.deadlineOffset);
+        w.u64(d.latencies.size());
+        for (const Cycles c : d.latencies)
+            w.u64(c);
+    }
+    for (std::size_t s = 0; s < slots_.size(); ++s) {
+        w.u64(servedPerShard_[s]);
+        slots_[s]->saveState(w);
+    }
+    w.u64(round_);
+    for (const auto &ring : lanes_)
+        ring->saveState(w);
+}
+
+std::string
+RingScheduler::restoreState(ByteReader &r)
+{
+    const std::uint64_t shards = r.u64();
+    const std::uint64_t lanes = r.u64();
+    const std::uint64_t sessions = r.u64();
+    const bool had_monitor = r.b();
+    std::ostringstream err;
+    if (shards != slots_.size())
+        err << "shard count " << shards << " vs " << slots_.size();
+    else if (lanes != lanes_.size())
+        err << "lane count " << lanes << " vs " << lanes_.size();
+    else if (sessions != descriptors_.size())
+        err << "session count " << sessions << " vs "
+            << descriptors_.size();
+    else if (had_monitor != (monitor_ != nullptr))
+        err << "leakage monitor " << (had_monitor ? "present" : "absent")
+            << " in the snapshot only";
+    if (!r.ok() || !err.str().empty())
+        return "scheduler snapshot does not match this configuration (" +
+               (r.ok() ? err.str() : std::string("truncated")) + ")";
+
+    if (monitor_)
+        monitor_->restoreState(r);
+    for (SessionDescriptor &d : descriptors_) {
+        SessionStats &st = d.stats;
+        st.sessionId = r.u32();
+        st.leakageLimitBits = r.f64();
+        st.admitted = r.b();
+        st.submitted = r.u64();
+        st.completed = r.u64();
+        st.firstArrival = r.u64();
+        st.lastCompletion = r.u64();
+        st.totalLatency = r.u64();
+        st.totalSlotWait = r.u64();
+        st.maxLatency = r.u64();
+        const std::uint32_t lane = r.u32();
+        if (lane >= lanes_.size())
+            return "scheduler snapshot names lane " + std::to_string(lane) +
+                   " of " + std::to_string(lanes_.size());
+        d.lane = static_cast<std::uint16_t>(lane);
+        d.weight = static_cast<std::uint16_t>(r.u32());
+        d.deadlineOffset = r.u64();
+        d.latencies.clear();
+        const std::uint64_t m = r.u64();
+        for (std::uint64_t i = 0; i < m && r.ok(); ++i)
+            d.latencies.push_back(r.u64());
+    }
+    for (std::size_t s = 0; s < slots_.size(); ++s) {
+        servedPerShard_[s] = r.u64();
+        slots_[s]->restoreState(r);
+    }
+    round_ = r.u64();
+    for (auto &ring : lanes_)
+        ring->restoreState(r);
+    anyServed_ = servedTotal() != 0;
+    return {};
 }
 
 } // namespace tcoram::sim

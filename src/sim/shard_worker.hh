@@ -37,9 +37,31 @@
  * observable streams, leakage counters, session stats and csvRow
  * output are bit-identical between 1 and N workers (test-enforced in
  * tests/test_scheduler_scale.cc). And since the bounded serve replays
- * exactly the unbounded enforcer sequence (timing/rate_enforcer.hh),
- * each shard's stream remains the same periodic, session-count-blind
- * sequence PR 3/4 pinned.
+ * exactly the unbounded enforcer sequence (timing/rate_enforcer.hh) —
+ * recovery backoff slots included — each shard's stream remains the
+ * same periodic, session-count-blind sequence the single-enforcer
+ * path produces.
+ *
+ * ## Sessions and admission
+ *
+ * Sessions must be opened before transactions are served. Each open
+ * with a finite budget runs the user/processor admission handshake
+ * (HMAC-bound leakage limit, §5/§10) against the COMPOSED
+ * configuration bits — M parallel streams leak additively, so
+ * admission clears M * |E| * lg|R| (protocol::LeakageParams::shards).
+ * The tightest finite admitted budget becomes the run's
+ * LeakageMonitor, shared by every shard's enforcer: free rate
+ * decisions on any shard draw from the one budget, so the composed
+ * realized leakage never exceeds L.
+ *
+ * ## Checkpoints
+ *
+ * A quiescent scheduler (every ring, queue and completion drained)
+ * serializes its enforcers (owed recovery slots included), the
+ * monitor ledger, session descriptors and stats, per-shard served
+ * counts, the round counter and the lanes' token counters — no queues
+ * (sim/recovery_run.hh feeds one transaction at a time, so it is
+ * quiescent at every checkpoint).
  */
 
 #ifndef TCORAM_SIM_SHARD_WORKER_HH
@@ -51,15 +73,52 @@
 #include <string>
 #include <vector>
 
+#include "common/serial.hh"
 #include "oram/sharded_device.hh"
 #include "protocol/session.hh"
 #include "sim/column_batch.hh"
-#include "sim/oram_scheduler.hh"
 #include "sim/session_ring.hh"
 #include "timing/dispatch_policy.hh"
 #include "timing/shard_slot.hh"
 
 namespace tcoram::sim {
+
+/** Per-session end-of-run statistics. */
+struct SessionStats
+{
+    std::uint32_t sessionId = 0;
+    /** The session's leakage budget L (negative = unlimited). */
+    double leakageLimitBits = -1.0;
+    /** Admission result of the §5 handshake. */
+    bool admitted = false;
+
+    std::uint64_t submitted = 0;
+    std::uint64_t completed = 0;
+    Cycles firstArrival = 0;
+    Cycles lastCompletion = 0;
+    /** Sum over completions of (done - arrival). */
+    Cycles totalLatency = 0;
+    /** Sum over completions of (start - arrival): rate-induced wait. */
+    Cycles totalSlotWait = 0;
+    Cycles maxLatency = 0;
+
+    double
+    avgLatency() const
+    {
+        return completed ? static_cast<double>(totalLatency) /
+                               static_cast<double>(completed)
+                         : 0.0;
+    }
+
+    /** Completions per million cycles over @p span_cycles. */
+    double
+    throughputPerMcycle(Cycles span_cycles) const
+    {
+        return span_cycles ? 1e6 * static_cast<double>(completed) /
+                                 static_cast<double>(span_cycles)
+                           : 0.0;
+    }
+};
 
 class RingScheduler
 {
@@ -90,8 +149,13 @@ class RingScheduler
         bool recordShardTelemetry = false;
     };
 
-    /** Same contract as OramScheduler's sharded constructor; @p rates,
-     *  @p schedule and @p learner must outlive the scheduler. */
+    /**
+     * One ShardSlot (owned enforcer) per shard of @p device, all
+     * sharing @p rates / @p schedule / @p learner (public knobs) but
+     * each timing its own stream; @p rates, @p schedule and @p learner
+     * must outlive the scheduler. Admission uses @p params with its
+     * shard count overridden to the device's (composed bound).
+     */
     RingScheduler(oram::ShardedOramDevice &device,
                   const timing::RateSet &rates,
                   const timing::EpochSchedule &schedule,
@@ -115,8 +179,9 @@ class RingScheduler
      * objects — nothing per-session survives but the descriptor);
      * unlimited budgets are admitted outright, which is what keeps a
      * million opens cheap. The tightest finite admitted budget becomes
-     * the run's shared LeakageMonitor, as in OramScheduler. Must
-     * happen before the first transaction is served (asserted).
+     * the run's shared LeakageMonitor (a later rebuild would forget
+     * bits already spent), so every open must happen before the first
+     * transaction is served (asserted).
      */
     std::uint32_t openSession(std::uint64_t user_seed,
                               double leakage_limit_bits = -1.0,
@@ -152,6 +217,14 @@ class RingScheduler
      *  barrier discipline for the epoch transitions on the way). */
     void drainUntil(Cycles t);
 
+    /**
+     * Closed-loop step on an otherwise idle lane: submit one
+     * transaction, run to quiescence and return its completion. The
+     * txn's data/out spans only need to live for the call.
+     */
+    SessionRing::Completion serveNow(std::uint32_t sid, Cycles arrival,
+                                     timing::OramTransaction txn);
+
     std::size_t sessionCount() const { return descriptors_.size(); }
     const SessionStats &stats(std::uint32_t sid) const;
     bool sessionAdmitted(std::uint32_t sid) const;
@@ -182,6 +255,20 @@ class RingScheduler
     /** Serialized telemetry, (round, shard)-ordered (fatal when the
      *  option is off). */
     std::string telemetryCsv() const;
+
+    /**
+     * Checkpoint support (see the file comment for what is saved).
+     * The scheduler must be quiescent (asserted); telemetry rows are
+     * not saved. Restore targets a scheduler built with the identical
+     * configuration and the same sessions already opened. It returns
+     * a diagnostic when the snapshot's shard, lane or session counts
+     * (or its monitor) disagree — before touching any state — or when
+     * a session names a lane this scheduler lacks (the scheduler must
+     * then be discarded); an empty string on success. The device
+     * array is checkpointed separately by the run harness.
+     */
+    void saveState(ByteWriter &w) const;
+    std::string restoreState(ByteReader &r);
 
   private:
     struct SessionDescriptor

@@ -82,6 +82,20 @@ class WeightedRoundRobinPolicy final : public DispatchPolicy
         return k;
     }
 
+    void
+    saveState(ByteWriter &w) const override
+    {
+        w.u32(lastSid_);
+        w.u32(burst_);
+    }
+
+    void
+    restoreState(ByteReader &r) override
+    {
+        lastSid_ = r.u32();
+        burst_ = r.u32();
+    }
+
   private:
     static constexpr std::uint32_t kNoSid = 0xffffffffu;
     std::uint32_t lastSid_ = kNoSid;

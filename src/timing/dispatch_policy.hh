@@ -1,6 +1,6 @@
 /**
  * @file
- * Pluggable QoS dispatch policies for ShardSlot's scaled core. A
+ * Pluggable QoS dispatch policies for ShardSlot's session queues. A
  * policy only chooses WHICH eligible session's head transaction rides
  * the shard's next enforced slot — the enforcer alone times the slot,
  * so no policy can shift the shard's observable stream (test-enforced
@@ -31,6 +31,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/serial.hh"
 #include "common/types.hh"
 
 namespace tcoram::timing {
@@ -79,6 +80,11 @@ class DispatchPolicy
     virtual DispatchPolicyKind kind() const = 0;
     /** Scan position of the (eligible) session to serve next. */
     virtual std::size_t pick(const DispatchView &view) = 0;
+
+    /** Checkpoint support for policies that carry state across picks
+     *  (wrr's burst); stateless policies write nothing. */
+    virtual void saveState(ByteWriter &) const {}
+    virtual void restoreState(ByteReader &) {}
 };
 
 std::unique_ptr<DispatchPolicy> makeDispatchPolicy(DispatchPolicyKind kind);

@@ -87,7 +87,7 @@ RateEnforcer::transitionAt(Cycles boundary)
 }
 
 void
-RateEnforcer::advanceTo(Cycles t)
+RateEnforcer::drainUntil(Cycles t)
 {
     // Interleave epoch transitions and idle dummy slots in time order.
     for (;;) {
@@ -100,15 +100,55 @@ RateEnforcer::advanceTo(Cycles t)
         }
         if (slot < t) {
             // The slot fires with no pending work: dummy access.
-            const OramCompletion c =
-                device_.submit(slot, OramTransaction::dummy());
-            lastCompletion_ = c.done;
-            counters_.noteCrypto(c.cryptoBytes, c.cryptoCalls);
-            evictInGap();
+            fireDummy(slot);
             continue;
         }
         return;
     }
+}
+
+void
+RateEnforcer::fireDummy(Cycles at)
+{
+    const OramCompletion c = device_.submit(at, OramTransaction::dummy());
+    lastCompletion_ = c.done;
+    counters_.noteCrypto(c.cryptoBytes, c.cryptoCalls);
+    evictInGap();
+}
+
+void
+RateEnforcer::completeReal(Cycles start, const OramCompletion &c)
+{
+    counters_.noteRealAccess(c.done - start);
+    counters_.noteCrypto(c.cryptoBytes, c.cryptoCalls);
+    lastCompletion_ = c.done;
+    lastRealCompletion_ = c.done;
+    evictInGap();
+    if (c.retries > 0) {
+        // Backoff slots owed: sum over retry i of 2^(i-1) — mirrors
+        // oram::RecoveryEngine::backoffSlots (the formula is
+        // duplicated because the timing layer sits below oram in the
+        // dependency order). The counters are run-cumulative, so
+        // charging them before the slots fire changes no reading.
+        const std::uint64_t slots = (std::uint64_t{1} << c.retries) - 1;
+        owedSlots_ += slots;
+        counters_.noteFaultRecovery(c.faultsDetected, c.retries, slots);
+    }
+}
+
+bool
+RateEnforcer::settleRecovery()
+{
+    // Each owed slot fires at the enforced position the next idle
+    // dummy would have used; one at or past the next epoch boundary
+    // waits for the transition, exactly as a dummy does.
+    while (owedSlots_ != 0) {
+        if (nextBoundary() <= nextSlot())
+            return false;
+        fireDummy(nextSlot());
+        --owedSlots_;
+    }
+    return true;
 }
 
 OramCompletion
@@ -118,7 +158,7 @@ RateEnforcer::serve(Cycles arrival, const OramTransaction &txn)
                   "dummies are scheduled by the enforcer, not submitted");
 
     // Fire any dummies/transitions due strictly before the arrival.
-    advanceTo(arrival);
+    drainUntil(arrival);
 
     // Req 3 (Figure 4): this request was outstanding concurrently with
     // the previous real access (back-to-back queue) — charge one rate
@@ -144,51 +184,23 @@ RateEnforcer::serve(Cycles arrival, const OramTransaction &txn)
             counters_.noteWaste(start - arrival);
 
         const OramCompletion c = device_.submit(start, txn);
-        counters_.noteRealAccess(c.done - start);
-        counters_.noteCrypto(c.cryptoBytes, c.cryptoCalls);
-        lastCompletion_ = c.done;
-        lastRealCompletion_ = c.done;
-        evictInGap();
-        if (c.retries > 0)
-            chargeRecovery(c);
+        completeReal(start, c);
+        while (!settleRecovery())
+            applyTransition();
         return c;
     }
 }
 
-void
-RateEnforcer::chargeRecovery(const OramCompletion &c)
-{
-    // Backoff slots owed: sum over retry i of 2^(i-1) — mirrors
-    // oram::RecoveryEngine::backoffSlots (the formula is duplicated
-    // because the timing layer sits below oram in the dependency
-    // order). Each slot fires at the enforced position the next idle
-    // dummy would have used, with due epoch transitions applied first,
-    // exactly as advanceTo() interleaves them.
-    const std::uint64_t slots = (std::uint64_t{1} << c.retries) - 1;
-    for (std::uint64_t i = 0; i < slots; ++i) {
-        while (schedule_.epochStart(epoch_ + 1) <= nextSlot())
-            transitionAt(schedule_.epochStart(epoch_ + 1));
-        const OramCompletion d =
-            device_.submit(nextSlot(), OramTransaction::dummy());
-        lastCompletion_ = d.done;
-        counters_.noteCrypto(d.cryptoBytes, d.cryptoCalls);
-        evictInGap();
-    }
-    counters_.noteFaultRecovery(c.faultsDetected, c.retries, slots);
-}
-
-void
-RateEnforcer::drainUntil(Cycles t)
-{
-    advanceTo(t);
-}
-
 bool
-RateEnforcer::advanceBounded(Cycles t)
+RateEnforcer::drainBounded(Cycles t)
 {
-    // Same interleave as advanceTo(): when both a transition and a
-    // dummy slot are due, the transition goes first — here that means
-    // stopping, since the transition belongs to the serial barrier.
+    // Owed recovery slots come first: serve() fires them before it
+    // returns. Then the same interleave as drainUntil(): when both a
+    // transition and a dummy slot are due, the transition goes first —
+    // here that means stopping, since the transition belongs to the
+    // serial barrier.
+    if (!settleRecovery())
+        return false;
     for (;;) {
         const Cycles boundary = schedule_.epochStart(epoch_ + 1);
         const Cycles slot = nextSlot();
@@ -196,11 +208,7 @@ RateEnforcer::advanceBounded(Cycles t)
         if (boundary <= t && boundary <= slot)
             return false;
         if (slot < t) {
-            const OramCompletion c =
-                device_.submit(slot, OramTransaction::dummy());
-            lastCompletion_ = c.done;
-            counters_.noteCrypto(c.cryptoBytes, c.cryptoCalls);
-            evictInGap();
+            fireDummy(slot);
             continue;
         }
         return true;
@@ -219,7 +227,7 @@ RateEnforcer::serveBounded(Cycles arrival, const OramTransaction &txn)
     // a transition drops the rate so far that nextSlot() lands before
     // the arrival again, and re-entering the advance here would.
     if (!serveWasteCharged_) {
-        if (!advanceBounded(arrival))
+        if (!drainBounded(arrival))
             return std::nullopt;
         if (arrival < lastRealCompletion_)
             counters_.noteWaste(rate_);
@@ -236,27 +244,13 @@ RateEnforcer::serveBounded(Cycles arrival, const OramTransaction &txn)
         counters_.noteWaste(start - arrival);
 
     const OramCompletion c = device_.submit(start, txn);
-    // Recovery charging fires extra slots that may cross epoch
-    // boundaries — incompatible with the bounded protocol's barrier
-    // discipline. The ring scheduler runs timing-only devices, which
-    // never retry; a fault-modeled datapath belongs on the unbounded
-    // path (sim/oram_scheduler.hh + serve()).
-    tcoram_assert(c.retries == 0,
-                  "ring scheduler is outside the fault domain (device "
-                  "reported ", c.retries, " retries on a bounded serve)");
-    counters_.noteRealAccess(c.done - start);
-    counters_.noteCrypto(c.cryptoBytes, c.cryptoCalls);
-    lastCompletion_ = c.done;
-    lastRealCompletion_ = c.done;
-    evictInGap();
+    completeReal(start, c);
     serveWasteCharged_ = false;
+    // Fire what the boundary allows now, as serve() does, so the next
+    // dispatch pick sees the same last completion; the rest stays owed
+    // and is settled ahead of the next bounded call's slots.
+    settleRecovery();
     return c;
-}
-
-bool
-RateEnforcer::drainBounded(Cycles t)
-{
-    return advanceBounded(t);
 }
 
 void
@@ -268,6 +262,7 @@ RateEnforcer::saveState(ByteWriter &w) const
     w.u64(lastRealCompletion_);
     w.u32(pinnedDecisions_);
     w.b(serveWasteCharged_);
+    w.u64(owedSlots_);
     counters_.saveState(w);
     w.u64(decisions_.size());
     for (const RateDecision &d : decisions_) {
@@ -286,6 +281,7 @@ RateEnforcer::restoreState(ByteReader &r)
     lastRealCompletion_ = r.u64();
     pinnedDecisions_ = r.u32();
     serveWasteCharged_ = r.b();
+    owedSlots_ = r.u64();
     counters_.restoreState(r);
     decisions_.clear();
     const std::uint64_t n = r.u64();

@@ -97,29 +97,39 @@ class RateEnforcer
     // transitions at a deterministic slot barrier (shard-id order, see
     // sim/shard_worker.hh) via applyTransition() and then retries.
     // Composing bounded ops with barrier-applied transitions replays
-    // the identical micro-operation sequence — dummies, waste charges,
-    // transitions, serves, all in the same order with the same
-    // counters — as the unbounded calls, so per-shard observable
-    // streams and decisions stay bit-identical to the single-threaded
-    // path (test-enforced in tests/test_scheduler_scale.cc).
+    // the identical micro-operation sequence — dummies, recovery
+    // slots, waste charges, transitions, serves, all in the same order
+    // with the same counters — as the unbounded calls, so per-shard
+    // observable streams and decisions stay bit-identical to the
+    // single-threaded path (test-enforced in
+    // tests/test_scheduler_scale.cc).
 
     /**
      * Bounded serve(): returns nullopt when the transaction cannot be
      * served before this enforcer's next epoch boundary. The caller
      * must applyTransition() (after the barrier) and retry with the
      * SAME transaction — the enforcer tracks the per-transaction
-     * Req 3 waste charge across retries.
+     * Req 3 waste charge across retries. A served transaction that
+     * reported retries leaves its backoff slots owed; they fire ahead
+     * of every later slot, as far as the next boundary allows.
      */
     std::optional<OramCompletion> serveBounded(Cycles arrival,
                                                const OramTransaction &txn);
 
     /**
-     * Bounded drainUntil(): fires dummy slots due before @p t, but
-     * stops instead of processing an epoch transition. @return true
-     * when the schedule reached @p t; false when a transition at
-     * nextBoundary() must be applied first.
+     * Bounded drainUntil(): fires owed recovery slots, then the dummy
+     * slots due before @p t, but stops instead of processing an epoch
+     * transition. @return true when the schedule reached @p t; false
+     * when a transition at nextBoundary() must be applied first.
      */
     bool drainBounded(Cycles t);
+
+    /**
+     * Fire the owed recovery slots (bounded): @return true once none
+     * are owed; false when the next one lies at or past nextBoundary()
+     * and the transition must be applied first.
+     */
+    bool settleRecovery();
 
     /** The epoch boundary the bounded calls refuse to cross. */
     Cycles nextBoundary() const { return schedule_.epochStart(epoch_ + 1); }
@@ -145,7 +155,7 @@ class RateEnforcer
 
     /**
      * Checkpoint support: rate/epoch position, completion horizons,
-     * counters and the decision log. The attached monitor is shared
+     * owed recovery slots, counters and the decision log. The attached monitor is shared
      * across enforcers and checkpointed by its owner.
      */
     void saveState(ByteWriter &w) const;
@@ -153,14 +163,18 @@ class RateEnforcer
 
   private:
     /**
-     * Charge a recovered transaction's retry cost into the observable
-     * stream: fire its exponential-backoff slots as dummy-equivalent
-     * accesses at the enforced slot positions. The slots land exactly
-     * where idle dummies would, so the stream stays periodic — an
-     * observer cannot tell recovery from idleness, which is the
-     * leak-free property the fault model requires.
+     * Complete a real access that started at @p start: counters,
+     * completion horizons, the eviction window, and the recovered
+     * transaction's retry cost — its exponential-backoff slots become
+     * owed dummy-equivalent accesses at the enforced slot positions
+     * (settleRecovery()). The slots land exactly where idle dummies
+     * would, so the stream stays periodic — an observer cannot tell
+     * recovery from idleness, which is the leak-free property the
+     * fault model requires.
      */
-    void chargeRecovery(const OramCompletion &c);
+    void completeReal(Cycles start, const OramCompletion &c);
+    /** Fire one dummy (or recovery) slot at @p at. */
+    void fireDummy(Cycles at);
     /**
      * Offer the device a background-eviction window (eviction engine,
      * oram/eviction_engine.hh) after a completed slot: from the
@@ -173,13 +187,6 @@ class RateEnforcer
      * devices.
      */
     void evictInGap();
-    /** Process epoch transitions and dummy slots up to cycle @p t. */
-    void advanceTo(Cycles t);
-    /**
-     * advanceTo(), but stop (returning false) where advanceTo() would
-     * process an epoch transition; true once the schedule reached @p t.
-     */
-    bool advanceBounded(Cycles t);
     /** Apply the epoch transition at @p boundary. */
     void transitionAt(Cycles boundary);
     /** Next cycle an access may start under the current rate. */
@@ -208,6 +215,8 @@ class RateEnforcer
      * loop neither fires dummies nor re-charges).
      */
     bool serveWasteCharged_ = false;
+    /** Backoff slots owed by the last recovered transaction. */
+    std::uint64_t owedSlots_ = 0;
 };
 
 } // namespace tcoram::timing

@@ -1,104 +1,19 @@
 #include "timing/shard_slot.hh"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/log.hh"
 
 namespace tcoram::timing {
 
-ShardSlot::ShardSlot(std::uint32_t shard_id, RateEnforcer &enforcer)
-    : shardId_(shard_id), enf_(enforcer)
-{
-}
-
 ShardSlot::ShardSlot(std::uint32_t shard_id, OramDeviceIf &device,
                      const RateSet &rates, const EpochSchedule &schedule,
                      const LearnerIf &learner, Cycles initial_rate)
     : shardId_(shard_id),
-      owned_(std::make_unique<RateEnforcer>(device, rates, schedule,
-                                            learner, initial_rate)),
-      enf_(*owned_)
+      enf_(device, rates, schedule, learner, initial_rate),
+      policy_(makeDispatchPolicy(DispatchPolicyKind::RoundRobin))
 {
 }
-
-void
-ShardSlot::ensureSessions(std::size_t n)
-{
-    if (queues_.size() < n)
-        queues_.resize(n);
-    // The cursor names the last-served session; starting the scan
-    // after the final session keeps it beginning at session 0.
-    cursor_ = queues_.size() - 1;
-}
-
-void
-ShardSlot::enqueue(std::uint32_t sid, Cycles arrival,
-                   const OramTransaction &txn)
-{
-    tcoram_dassert(pendingScaled_ == 0,
-                   "legacy and scaled cores must not mix");
-    tcoram_assert(sid < queues_.size(), "unknown session ", sid,
-                  " on shard ", shardId_);
-    auto &q = queues_[sid];
-    tcoram_assert(q.empty() || q.back().arrival <= arrival,
-                  "per-session arrivals must be non-decreasing");
-    q.push_back({arrival, txn});
-    ++pending_;
-}
-
-std::optional<ShardSlot::Served>
-ShardSlot::serveNext()
-{
-    if (pending_ == 0)
-        return std::nullopt;
-    const std::size_t n = queues_.size();
-
-    // Earliest queued arrival: the latest the next service can begin.
-    Cycles earliest = std::numeric_limits<Cycles>::max();
-    for (const auto &q : queues_)
-        if (!q.empty())
-            earliest = std::min(earliest, q.front().arrival);
-
-    // Every transaction that has arrived by this shard's next enforced
-    // slot would start at that same slot — the choice among them is
-    // pure policy (round-robin from the last served session) and
-    // cannot shift the shard's observable stream. lastCompletion() is
-    // a safe LOWER bound on the next slot whatever the rate does at
-    // upcoming epoch boundaries; heads arriving between it and the
-    // actual slot just wait one round, which never costs a slot
-    // (earliest is eligible).
-    const Cycles horizon = std::max(earliest, enf_.lastCompletion());
-
-    std::size_t pick = n;
-    for (std::size_t k = 1; k <= n; ++k) {
-        const std::size_t s = (cursor_ + k) % n;
-        if (!queues_[s].empty() && queues_[s].front().arrival <= horizon) {
-            pick = s;
-            break;
-        }
-    }
-    tcoram_assert(pick < n, "pending transaction with no eligible session");
-    cursor_ = pick;
-
-    const Pending p = queues_[pick].front();
-    queues_[pick].pop_front();
-    --pending_;
-
-    const OramCompletion c = enf_.serve(p.arrival, p.txn);
-    return Served{static_cast<std::uint32_t>(pick), p.arrival, c, p.txn.tag};
-}
-
-void
-ShardSlot::drainUntil(Cycles t)
-{
-    tcoram_assert(pending() == 0,
-                  "drain with transactions still queued on shard ",
-                  shardId_);
-    enf_.drainUntil(t);
-}
-
-// --- scaled core ---
 
 void
 ShardSlot::setDispatchPolicy(std::unique_ptr<DispatchPolicy> policy)
@@ -154,11 +69,10 @@ ShardSlot::freeNode(std::uint32_t idx)
 }
 
 void
-ShardSlot::enqueueScaled(std::uint32_t sid, Cycles arrival,
-                         const OramTransaction &txn, std::uint16_t weight,
-                         Cycles deadline_offset)
+ShardSlot::enqueue(std::uint32_t sid, Cycles arrival,
+                   const OramTransaction &txn, std::uint16_t weight,
+                   Cycles deadline_offset)
 {
-    tcoram_dassert(pending_ == 0, "legacy and scaled cores must not mix");
     if (sessionQueue_.size() <= sid)
         sessionQueue_.resize(static_cast<std::size_t>(sid) + 1, kNil);
     const std::uint32_t node = allocNode(arrival, txn);
@@ -200,14 +114,12 @@ ShardSlot::enqueueScaled(std::uint32_t sid, Cycles arrival,
         nodePool_[q.tail].next = node;
         q.tail = node;
     }
-    ++pendingScaled_;
+    ++pending_;
 }
 
 std::uint32_t
-ShardSlot::pickScaled()
+ShardSlot::pick()
 {
-    if (!policy_)
-        policy_ = makeDispatchPolicy(DispatchPolicyKind::RoundRobin);
     View v(*this);
     const std::size_t k = policy_->pick(v);
     tcoram_assert(k < activeCount_, "dispatch policy picked position ", k,
@@ -218,7 +130,7 @@ ShardSlot::pickScaled()
         for (std::size_t i = 0; i < k; ++i)
             idx = queuePool_[idx].next;
     }
-    listCursor_ = idx; // cursor moves at pick time, as the legacy core
+    listCursor_ = idx; // the cursor moves at pick time
     return idx;
 }
 
@@ -231,7 +143,7 @@ ShardSlot::popServed(std::uint32_t q_idx)
     if (q.head == kNil)
         q.tail = kNil;
     freeNode(node);
-    --pendingScaled_;
+    --pending_;
     if (q.head == kNil) {
         // Deactivate: unlink; the cursor falls back to the previous
         // entry so the next scan continues from the same place.
@@ -251,13 +163,13 @@ ShardSlot::popServed(std::uint32_t q_idx)
 }
 
 ShardSlot::ServeStatus
-ShardSlot::serveScaled(Served &out)
+ShardSlot::serve(Served &out)
 {
-    tcoram_dassert(pending_ == 0, "legacy and scaled cores must not mix");
     if (heldQueue_ == kNil) {
-        if (pendingScaled_ == 0)
-            return ServeStatus::Idle;
-        heldQueue_ = pickScaled();
+        if (pending_ == 0)
+            return enf_.settleRecovery() ? ServeStatus::Idle
+                                         : ServeStatus::Blocked;
+        heldQueue_ = pick();
     }
     const ActiveQueue &q = queuePool_[heldQueue_];
     const Node &head = nodePool_[q.head];
@@ -271,10 +183,9 @@ ShardSlot::serveScaled(Served &out)
 }
 
 bool
-ShardSlot::drainScaled(Cycles t)
+ShardSlot::drain(Cycles t)
 {
-    tcoram_assert(pendingScaled_ == 0 && heldQueue_ == kNil,
-                  "drain with transactions still queued on shard ",
+    tcoram_assert(idle(), "drain with transactions still queued on shard ",
                   shardId_);
     return enf_.drainBounded(t);
 }
@@ -282,58 +193,18 @@ ShardSlot::drainScaled(Cycles t)
 void
 ShardSlot::saveState(ByteWriter &w) const
 {
-    tcoram_assert(pendingScaled_ == 0 && heldQueue_ == kNil,
-                  "scaled-core backlog is not checkpointable on shard ",
-                  shardId_);
+    tcoram_assert(idle(), "queued transactions are not checkpointable on "
+                          "shard ", shardId_);
     enf_.saveState(w);
-    w.u64(pending_);
-    w.u64(cursor_);
-    w.u64(queues_.size());
-    for (const auto &q : queues_) {
-        w.u64(q.size());
-        for (std::size_t i = 0; i < q.size(); ++i) {
-            const Pending &p = q.at(i);
-            tcoram_assert(p.txn.data.empty() && p.txn.out.empty(),
-                          "span-carrying queued transactions are not "
-                          "checkpointable on shard ", shardId_);
-            w.u64(p.arrival);
-            w.u8(static_cast<std::uint8_t>(p.txn.kind));
-            w.u32(p.txn.sessionId);
-            w.u64(p.txn.blockId);
-            w.b(p.txn.isWrite);
-            w.u64(p.txn.tag);
-        }
-    }
+    policy_->saveState(w);
 }
 
 void
 ShardSlot::restoreState(ByteReader &r)
 {
+    tcoram_assert(idle(), "restore into a busy slot on shard ", shardId_);
     enf_.restoreState(r);
-    pending_ = r.u64();
-    cursor_ = static_cast<std::size_t>(r.u64());
-    const std::uint64_t sessions = r.u64();
-    tcoram_assert(sessions == queues_.size(),
-                  "snapshot session count mismatch on shard ", shardId_,
-                  " (", sessions, " vs ", queues_.size(), ")");
-    std::uint64_t total = 0;
-    for (auto &q : queues_) {
-        q = RingFifo<Pending>();
-        const std::uint64_t m = r.u64();
-        for (std::uint64_t i = 0; i < m; ++i) {
-            Pending p;
-            p.arrival = r.u64();
-            p.txn.kind = static_cast<OramTransaction::Kind>(r.u8());
-            p.txn.sessionId = r.u32();
-            p.txn.blockId = r.u64();
-            p.txn.isWrite = r.b();
-            p.txn.tag = r.u64();
-            q.push_back(p);
-        }
-        total += m;
-    }
-    tcoram_assert(total == pending_,
-                  "snapshot backlog mismatch on shard ", shardId_);
+    policy_->restoreState(r);
 }
 
 } // namespace tcoram::timing

@@ -668,6 +668,26 @@ TEST(RecoveryRun, RestoreRejectsMismatchedConfiguration)
     std::remove(path.c_str());
 }
 
+TEST(RecoveryRun, RestoreReportsSessionCountMismatch)
+{
+    const std::string path = tmpPath("sessions.ckpt");
+    {
+        sim::RecoveryRun run(runConfig("timing", 1)); // 2 sessions
+        run.start();
+        run.serveOne();
+        ASSERT_EQ(run.saveTo(path), "");
+    }
+    // A snapshot of a different session count is a diagnostic, not a
+    // crash: the caller can fall back to a cold start.
+    auto cfg = runConfig("timing", 1);
+    cfg.sessions = 3;
+    sim::RecoveryRun other(cfg);
+    const std::string err = other.restoreFrom(path);
+    EXPECT_NE(err, "");
+    EXPECT_NE(err.find("session"), std::string::npos) << err;
+    std::remove(path.c_str());
+}
+
 TEST(RecoveryRun, GoldenPinnedObservableStream)
 {
     // Cross-run, cross-platform pinned stream for the M = 1 timing run
